@@ -9,13 +9,15 @@
 //! variable-resolution cost of the tuple representation dominates.
 //! Cases run at 10k and 100k source rows; `BENCH_PR6.json` records the
 //! medians via `scripts/bench_json.sh` (`BENCH_PR4.json` holds the
-//! pre-VM baseline). Two further 100k cases isolate the expression
-//! VM's hot paths: a predicate-heavy scan and a computed-key sort.
+//! earlier baseline). Two further 100k cases isolate scalar evaluation
+//! in the plan interpreter: a predicate-heavy scan and a computed-key
+//! sort.
 
 use aldsp::security::Principal;
 use aldsp::{ExecutionOptions, PushdownLevel};
+use aldsp_bench::env::NamedEnv;
 use aldsp_bench::fixtures::{build_world, build_world_tuned, run, run_parallel, WorldSize, PROLOG};
-use aldsp_runtime::{Env, NamedEnv};
+use aldsp_runtime::Env;
 use aldsp_xdm::item::Item;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -140,9 +142,9 @@ fn bench(c: &mut Criterion) {
         }
     }
 
-    // expression-VM hot paths in isolation: pushdown stays off so the
-    // predicates and sort keys run in the middleware (compiled to
-    // bytecode programs), not at the source
+    // scalar evaluation in isolation: pushdown stays off so the
+    // predicates and sort keys are evaluated by the plan interpreter in
+    // the middleware, not at the source
     let world = build_world_tuned(
         WorldSize {
             customers: 100_000 / ORDERS_PER_CUSTOMER,

@@ -92,10 +92,6 @@ pub struct Options {
     /// flight on background threads while the local join consumes the
     /// current block, overlapping source latency with local work.
     pub ppk_prefetch_depth: usize,
-    /// Lower scalar expression subtrees to bytecode programs for the
-    /// runtime's expression VM (differential-testing knob; on in every
-    /// real configuration).
-    pub vm: bool,
     /// Middleware join-method selection for the join-planning pass:
     /// cost-based by default, with forced levels for the differential
     /// harness (every level returns byte-identical results).
@@ -113,7 +109,6 @@ impl Default for Options {
             ppk_block_size: 20,
             ppk_local_method: crate::ir::LocalJoinMethod::IndexNestedLoop,
             ppk_prefetch_depth: 1,
-            vm: true,
             join_strategy: crate::joins::JoinStrategy::default(),
         }
     }
@@ -136,10 +131,6 @@ pub struct CompiledQuery {
     pub pushdown: PushdownLevel,
     /// Diagnostics gathered during compilation (empty in fail-fast mode).
     pub diagnostics: Vec<Diagnostic>,
-    /// Bytecode programs for the plan's scalar subtrees, keyed by root
-    /// `node_id` (empty when compiled with `vm: false`). Shared so each
-    /// execution references the compiled code without copying it.
-    pub programs: Arc<crate::program::ProgramSet>,
     /// Parallel-eligibility marks for the plan's FLWORs (morsel-driven
     /// execution regions), keyed by FLWOR `node_id`. Shared so each
     /// execution references the analysis without re-deriving it.
@@ -203,7 +194,6 @@ impl Compiler {
         ctx.ppk_prefetch_depth = self.options.ppk_prefetch_depth;
         ctx.pushdown = self.options.pushdown;
         ctx.mutation = self.options.mutation;
-        ctx.vm = self.options.vm;
         ctx.join_strategy = self.options.join_strategy;
         // seed with deployed (partially optimized) functions
         for (name, f) in self.views.lock().iter() {
@@ -309,8 +299,7 @@ impl Compiler {
             return Err(diags);
         };
         let external_vars: Vec<String> = module.variables.iter().map(|v| v.name.clone()).collect();
-        let (frame, programs, parallel, joins) =
-            self.finish(&mut ctx, &mut plan, &external_vars)?;
+        let (frame, parallel, joins) = self.finish(&mut ctx, &mut plan, &external_vars)?;
         diags.extend(ctx.diags);
         if self.options.mode == Mode::FailFast && !diags.is_empty() {
             return Err(diags);
@@ -322,7 +311,6 @@ impl Compiler {
             frame,
             pushdown: self.options.pushdown,
             diagnostics: diags,
-            programs,
             parallel,
             joins,
         })
@@ -368,8 +356,7 @@ impl Compiler {
             }
         };
         let mut plan = CExpr::new(kind, span);
-        let (frame, programs, parallel, joins) =
-            self.finish(&mut ctx, &mut plan, &external_vars)?;
+        let (frame, parallel, joins) = self.finish(&mut ctx, &mut plan, &external_vars)?;
         let diags = std::mem::take(&mut ctx.diags);
         if self.options.mode == Mode::FailFast && !diags.is_empty() {
             return Err(diags);
@@ -381,7 +368,6 @@ impl Compiler {
             frame,
             pushdown: self.options.pushdown,
             diagnostics: diags,
-            programs,
             parallel,
             joins,
         })
@@ -391,8 +377,8 @@ impl Compiler {
     /// type check → **normalize** (view unfolding + the local rewrite
     /// rules to fixpoint) → re-infer types → **predicate placement**
     /// (global duplicate elimination and contradiction pruning) →
-    /// **SQL pushdown** → frame layout → node ids → bytecode lowering →
-    /// **join planning** and parallel analysis over the final shape.
+    /// **SQL pushdown** → frame layout → node ids → **join planning** and
+    /// parallel analysis over the final shape.
     /// Debug builds assert each rewriting pass is idempotent (re-running
     /// it is a no-op), which is what lets them run once instead of
     /// inside one shared fixpoint.
@@ -405,7 +391,6 @@ impl Compiler {
     ) -> Result<
         (
             Arc<FrameLayout>,
-            Arc<crate::program::ProgramSet>,
             Arc<crate::parallel::ParallelPlan>,
             Arc<crate::joins::JoinPlan>,
         ),
@@ -431,22 +416,12 @@ impl Compiler {
         // slots are derived from the final plan: every rewrite above is
         // name-based and slot-agnostic
         let frame = frames::layout(plan, external_vars);
-        let node_count = plan.assign_node_ids();
-        let programs = if ctx.vm {
-            crate::program::lower_plan(plan, node_count)
-        } else {
-            crate::program::ProgramSet::default()
-        };
+        plan.assign_node_ids();
         // join planning and parallel eligibility are properties of the
         // final plan shape and need the node ids assigned just above
         let joins = crate::joins::analyze(ctx, plan);
         let parallel = crate::parallel::analyze(plan);
-        Ok((
-            Arc::new(frame),
-            Arc::new(programs),
-            Arc::new(parallel),
-            Arc::new(joins),
-        ))
+        Ok((Arc::new(frame), Arc::new(parallel), Arc::new(joins)))
     }
 
     /// A compiler over the same metadata, inverses, and deployed views

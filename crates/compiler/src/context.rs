@@ -92,9 +92,6 @@ pub struct Context<'r> {
     pub pushdown: crate::compile::PushdownLevel,
     /// Deliberately planted rewrite bug (mutation smoke test only).
     pub mutation: Option<crate::compile::Mutation>,
-    /// Lower scalar subtrees to expression-VM bytecode after frame
-    /// layout (differential-testing knob, on in production).
-    pub vm: bool,
     /// Middleware join-method selection for the join-planning pass
     /// (cost-based by default; forced levels for the differential
     /// harness).
@@ -117,7 +114,6 @@ impl<'r> Context<'r> {
             ppk_prefetch_depth: 1,
             pushdown: crate::compile::PushdownLevel::default(),
             mutation: None,
-            vm: true,
             join_strategy: crate::joins::JoinStrategy::default(),
             var_counter: 0,
         }

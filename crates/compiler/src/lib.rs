@@ -19,7 +19,6 @@ pub mod frames;
 pub mod ir;
 pub mod joins;
 pub mod parallel;
-pub mod program;
 pub mod rules;
 pub mod sqlgen;
 pub mod translate;
@@ -32,7 +31,6 @@ pub use frames::FrameLayout;
 pub use ir::{Builtin, CExpr, CKind, Clause, LocalJoinMethod, OrderSpec, PpkSpec, NO_SLOT};
 pub use joins::{JoinMark, JoinPlan, JoinStrategy};
 pub use parallel::{ParTail, ParallelMark, ParallelPlan};
-pub use program::{Op, Program, ProgramSet};
 
 use aldsp_relational::Select;
 

@@ -309,7 +309,6 @@ pub struct ServerBuilder {
     admission: GovernorConfig,
     default_memory_budget: Option<u64>,
     source_concurrency_cap: usize,
-    vm: bool,
     materialized: Vec<(QName, MatViewPolicy)>,
 }
 
@@ -335,7 +334,6 @@ impl ServerBuilder {
             admission: GovernorConfig::default(),
             default_memory_budget: None,
             source_concurrency_cap: 0,
-            vm: true,
             materialized: Vec::new(),
         }
     }
@@ -357,16 +355,6 @@ impl ServerBuilder {
     /// override the whole set at once via [`QueryRequest::execution`].
     pub fn execution(mut self, options: ExecutionOptions) -> Self {
         self.execution = options;
-        self
-    }
-
-    /// Toggle the expression VM (on by default): compile scalar
-    /// expression subtrees to bytecode programs executed by
-    /// [`aldsp_runtime::ExprVM`] instead of the tree-walker. Turning it
-    /// off forces pure tree-walking everywhere — same results, useful
-    /// as a differential oracle and for isolating regressions.
-    pub fn vm(mut self, on: bool) -> Self {
-        self.vm = on;
         self
     }
 
@@ -577,7 +565,6 @@ impl ServerBuilder {
             ppk_block_size: self.ppk_block_size,
             ppk_local_method: self.ppk_local_method,
             ppk_prefetch_depth: self.execution.ppk_prefetch_depth,
-            vm: self.vm,
             join_strategy: self.execution.join_strategy,
             ..Default::default()
         };
@@ -1486,7 +1473,7 @@ impl AldspServer {
     /// The workload governor's cumulative admission counters: queries
     /// admitted and shed, current running/queued, deepest the queue has
     /// been, and total admission wait. Monotonic for the life of the
-    /// server (unaffected by [`AldspServer::reset_stats`]).
+    /// server.
     pub fn governor_stats(&self) -> GovernorSnapshot {
         self.governor.snapshot()
     }
@@ -1533,14 +1520,6 @@ impl AldspServer {
             ));
         }
         Some(parts.join(" "))
-    }
-
-    /// Reset runtime statistics.
-    #[deprecated(
-        note = "racy under concurrency; use `QueryResponse::per_query_stats` for per-query deltas"
-    )]
-    pub fn reset_stats(&self) {
-        self.runtime.reset_stats()
     }
 
     /// `(hits, misses)` of the query plan cache (§2.2).
@@ -1660,7 +1639,6 @@ impl AldspServer {
             governor,
             matview,
             pushdown: plan.pushdown,
-            programs: Some(&plan.programs),
             parallel: Some(&plan.parallel),
             joins: Some(&plan.joins),
         };
@@ -1741,7 +1719,6 @@ mod plan_cache_tests {
             frame: Arc::new(Default::default()),
             pushdown: Default::default(),
             diagnostics: vec![],
-            programs: Arc::new(Default::default()),
             parallel: Arc::new(Default::default()),
             joins: Arc::new(Default::default()),
         })

@@ -34,11 +34,6 @@ pub struct CellSpec {
     /// the answer is exactly the kind of bug the oracle exists to
     /// catch.
     pub memory_budget: Option<u64>,
-    /// Run compiled expression subtrees on the bytecode VM (`true`) or
-    /// force the pure tree-walker (`false`). The reference cell keeps
-    /// the walker so every VM cell is checked against uncompiled
-    /// evaluation.
-    pub vm: bool,
     /// Worker threads for morsel-driven parallel execution (1 =
     /// sequential). Multi-worker cells run unbudgeted — a budget trip
     /// mid-fan-out may surface at a different tuple than sequential
@@ -50,145 +45,44 @@ pub struct CellSpec {
     pub join_strategy: JoinStrategy,
 }
 
-/// The default 11-cell matrix from the roadmap: pushdown {off, joins,
-/// full} × representative prefetch/streaming/budget/VM settings, plus
-/// the workers {1, 4} axis — multi-worker cells must be byte-identical
-/// to the single-threaded reference, pinning the morsel merge's
-/// determinism. The multi-worker cells keep pushdown at joins/full:
-/// parallel regions anchor on a pushed SQL scan, so a pushdown-off
-/// plan never fans out (its scans are plain source calls). Cell 0 is the naive reference: no pushdown *and* no
-/// expression VM, so every other cell's bytecode programs are
-/// differentially checked against pure tree-walking.
+/// The default 14-cell matrix: pushdown {off, joins, full} ×
+/// representative prefetch/streaming/budget settings, the workers
+/// {1, 4} axis and the forced join-strategy axis. Cell 0, `off`, is the
+/// naive reference: no pushdown, no prefetch, materialized, unbudgeted,
+/// sequential, so every operator runs in the middleware interpreter.
+/// Multi-worker cells must be byte-identical to it, pinning the morsel
+/// merge's determinism; they keep pushdown at joins/full because
+/// parallel regions anchor on a pushed SQL scan, so a pushdown-off plan
+/// never fans out (its scans are plain source calls).
 pub fn default_matrix() -> Vec<CellSpec> {
-    let cell =
-        |name, pushdown, prefetch_depth, streaming, memory_budget, vm, workers, join| CellSpec {
-            name,
-            pushdown,
-            prefetch_depth,
-            streaming,
-            memory_budget,
-            vm,
-            workers,
-            join_strategy: join,
-        };
-    let auto = JoinStrategy::Auto;
+    let cell = |name, pushdown, prefetch_depth, streaming, memory_budget, workers, join| CellSpec {
+        name,
+        pushdown,
+        prefetch_depth,
+        streaming,
+        memory_budget,
+        workers,
+        join_strategy: join,
+    };
+    use JoinStrategy::{Auto, Hash, IndexNl, Merge};
+    use PushdownLevel::{Full, Joins, Off};
     vec![
-        cell("off", PushdownLevel::Off, 0, false, None, false, 1, auto),
-        cell("off+vm", PushdownLevel::Off, 0, false, None, true, 1, auto),
-        cell(
-            "off+stream",
-            PushdownLevel::Off,
-            0,
-            true,
-            None,
-            true,
-            1,
-            auto,
-        ),
-        cell("joins", PushdownLevel::Joins, 0, false, None, true, 1, auto),
-        cell(
-            "joins+pp2",
-            PushdownLevel::Joins,
-            2,
-            true,
-            None,
-            true,
-            1,
-            auto,
-        ),
-        cell("full", PushdownLevel::Full, 0, false, None, true, 1, auto),
-        cell(
-            "full+pp2",
-            PushdownLevel::Full,
-            2,
-            false,
-            None,
-            true,
-            1,
-            auto,
-        ),
-        cell(
-            "full+stream",
-            PushdownLevel::Full,
-            2,
-            true,
-            None,
-            true,
-            1,
-            auto,
-        ),
-        cell(
-            "full+budget",
-            PushdownLevel::Full,
-            0,
-            false,
-            Some(64 << 20),
-            true,
-            1,
-            auto,
-        ),
-        cell(
-            "full+mt4",
-            PushdownLevel::Full,
-            0,
-            false,
-            None,
-            true,
-            4,
-            auto,
-        ),
-        cell(
-            "joins+mt4",
-            PushdownLevel::Joins,
-            0,
-            false,
-            None,
-            true,
-            4,
-            auto,
-        ),
+        cell("off", Off, 0, false, None, 1, Auto),
+        cell("off+stream", Off, 0, true, None, 1, Auto),
+        cell("joins", Joins, 0, false, None, 1, Auto),
+        cell("joins+pp2", Joins, 2, true, None, 1, Auto),
+        cell("full", Full, 0, false, None, 1, Auto),
+        cell("full+pp2", Full, 2, false, None, 1, Auto),
+        cell("full+stream", Full, 2, true, None, 1, Auto),
+        cell("full+budget", Full, 0, false, Some(64 << 20), 1, Auto),
+        cell("full+mt4", Full, 0, false, None, 4, Auto),
+        cell("joins+mt4", Joins, 0, false, None, 4, Auto),
         // the join-strategy axis: every middleware join method must be
         // byte-identical to the naive nested-loop reference
-        cell(
-            "joins+hash",
-            PushdownLevel::Joins,
-            0,
-            false,
-            None,
-            true,
-            1,
-            JoinStrategy::Hash,
-        ),
-        cell(
-            "joins+merge",
-            PushdownLevel::Joins,
-            0,
-            false,
-            None,
-            true,
-            1,
-            JoinStrategy::Merge,
-        ),
-        cell(
-            "joins+inl",
-            PushdownLevel::Joins,
-            0,
-            false,
-            None,
-            true,
-            1,
-            JoinStrategy::IndexNl,
-        ),
-        cell(
-            "full+hash",
-            PushdownLevel::Full,
-            2,
-            false,
-            None,
-            true,
-            1,
-            JoinStrategy::Hash,
-        ),
+        cell("joins+hash", Joins, 0, false, None, 1, Hash),
+        cell("joins+merge", Joins, 0, false, None, 1, Merge),
+        cell("joins+inl", Joins, 0, false, None, 1, IndexNl),
+        cell("full+hash", Full, 2, false, None, 1, Hash),
     ]
 }
 

@@ -16,16 +16,14 @@
 //! * the function cache (§5.5) wraps physical calls.
 
 use crate::cache::FunctionCache;
-use crate::env::Env;
+use crate::env::{Env, SlotValue};
 use crate::stats::ExecStats;
 use crate::trace::{NodeTrace, TraceCollector, TraceKey};
-use crate::vm::{atomize_first_val, ExprVM, Val};
 use aldsp_adaptors::{AdaptorError, AdaptorRegistry};
 use aldsp_compiler::frames::FrameLayout;
 use aldsp_compiler::ir::{Builtin, CExpr, CKind, Clause, LocalJoinMethod, OrderSpec, PpkSpec};
 use aldsp_compiler::joins::{JoinMark, JoinPlan, JoinStrategy};
 use aldsp_compiler::parallel::{ParTail, ParallelMark, ParallelPlan};
-use aldsp_compiler::program::{Program, ProgramSet};
 use aldsp_metadata::Registry;
 use aldsp_relational::{ppk_block_predicate, ResultSet, Select, SqlType, SqlValue};
 use aldsp_workload::{QueryBudget, WorkloadError};
@@ -126,10 +124,6 @@ pub struct ExecCtx {
     /// frame slots once, when a pipeline is constructed — never per
     /// tuple.
     pub frame: Arc<FrameLayout>,
-    /// The executing plan's compiled expression programs, keyed by
-    /// subtree-root `node_id` (empty when the plan was compiled with
-    /// the VM disabled).
-    pub programs: Arc<ProgramSet>,
     /// The executing plan's parallel-eligibility marks (empty when the
     /// plan predates the analysis or was built by hand).
     pub parallel: Arc<ParallelPlan>,
@@ -157,7 +151,6 @@ impl ExecCtx {
             trace,
             budget: None,
             frame: Arc::new(FrameLayout::default()),
-            programs: Arc::new(ProgramSet::default()),
             parallel: Arc::new(ParallelPlan::default()),
             joins: Arc::new(JoinPlan::default()),
             workers: 1,
@@ -198,19 +191,6 @@ impl ExecCtx {
         self.tuple_mem = TUPLE_MEM_BYTES + 8 * u64::from(frame.width());
         self.frame = frame;
         self
-    }
-
-    /// Attach the executing plan's compiled programs. The plan's
-    /// fallback-subtree count is a static property, so it is recorded
-    /// here once per execution rather than re-counted while running.
-    pub fn with_programs(self, programs: Arc<ProgramSet>) -> ExecCtx {
-        if programs.fallback_subtrees > 0 {
-            self.add(
-                |s| &s.vm_fallback_subtrees,
-                u64::from(programs.fallback_subtrees),
-            );
-        }
-        ExecCtx { programs, ..self }
     }
 
     /// Resolve a clause binder to its frame slot. Binders always have a
@@ -341,106 +321,9 @@ fn atomize_first(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Option<AtomicVa
     }
 }
 
-std::thread_local! {
-    /// The generic `eval` probe's VM. Program ops never re-enter
-    /// `eval` (uncovered shapes are not lowered), so the borrow is
-    /// never already held when a probe fires.
-    static PROBE_VM: std::cell::RefCell<ExprVM> = std::cell::RefCell::new(ExprVM::new());
-}
-
-/// Run a compiled program from the generic `eval` probe. Hot clause
-/// sites (where/let/keys) own their VM and batch their op counts; this
-/// path serves the long tail (return expressions, SQL parameters,
-/// quantifier bodies), so a per-call stats flush is acceptable.
-fn run_probe(cx: &ExecCtx, prog: &Program, env: &Env) -> RtResult<Val> {
-    PROBE_VM.with(|vm| {
-        let mut ops = 0u64;
-        let r = vm.borrow_mut().run(prog, env, &mut ops);
-        cx.add(|s| &s.vm_ops_executed, ops);
-        r
-    })
-}
-
-/// A hot call site's VM handle: owns the reusable stack, accumulates
-/// the executed-op count and (only when traced) VM wall time, and
-/// flushes both once on drop — never per tuple. The untraced path pays
-/// a single `tkey.is_some()` branch per run.
-struct VmState<'a> {
-    cx: &'a ExecCtx,
-    tkey: Option<TraceKey>,
-    vm: ExprVM,
-    ops: u64,
-    ns: u64,
-}
-
-impl<'a> VmState<'a> {
-    fn new(cx: &'a ExecCtx, tkey: Option<TraceKey>) -> VmState<'a> {
-        VmState {
-            cx,
-            tkey,
-            vm: ExprVM::new(),
-            ops: 0,
-            ns: 0,
-        }
-    }
-
-    #[inline]
-    fn run(&mut self, prog: &Program, env: &Env) -> RtResult<Val> {
-        if self.tkey.is_some() {
-            let t0 = std::time::Instant::now();
-            let r = self.vm.run(prog, env, &mut self.ops);
-            self.ns += t0.elapsed().as_nanos() as u64;
-            r
-        } else {
-            self.vm.run(prog, env, &mut self.ops)
-        }
-    }
-}
-
-impl Drop for VmState<'_> {
-    fn drop(&mut self) {
-        if self.ops > 0 {
-            self.cx.add(|s| &s.vm_ops_executed, self.ops);
-        }
-        if self.ns > 0 {
-            self.cx.trace_record(
-                self.tkey,
-                NodeTrace {
-                    vm_ns: self.ns,
-                    ..Default::default()
-                },
-            );
-        }
-    }
-}
-
-/// The compiled program (if any) behind a key-position expression.
-/// Keys run through atomizing helpers that skip `Data` wrappers; a
-/// compiled program includes the `Data` op, which is idempotent under
-/// first-value atomization, so running the full program is equivalent.
-fn key_prog(cx: &ExecCtx, e: &CExpr) -> Option<Arc<Program>> {
-    cx.programs.lookup(e.node_id).cloned()
-}
-
-/// `atomize_first` through the VM when the key compiled, else the
-/// walker.
-fn key_first(
-    cx: &ExecCtx,
-    vm: &mut VmState<'_>,
-    prog: &Option<Arc<Program>>,
-    kexpr: &CExpr,
-    env: &Env,
-) -> RtResult<Option<AtomicValue>> {
-    match prog {
-        Some(p) => vm.run(p, env).map(|v| atomize_first_val(&v)),
-        None => atomize_first(cx, kexpr, env),
-    }
-}
-
 /// A constant positional predicate (`$x[3]`) is a direct index: item
-/// `n` (1-based) or nothing. Shared by the tree-walker's `Filter` arm
-/// and the VM's `PickConst` op, so both paths are one code path.
-pub(crate) fn pick_const_positional(v: &[Item], n: i64) -> Option<Item> {
+/// `n` (1-based) or nothing.
+fn pick_const_positional(v: &[Item], n: i64) -> Option<Item> {
     usize::try_from(n)
         .ok()
         .filter(|&n| n >= 1)
@@ -450,11 +333,6 @@ pub(crate) fn pick_const_positional(v: &[Item], n: i64) -> Option<Item> {
 
 /// Evaluate an expression to a sequence.
 pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Sequence> {
-    // the compile-once/execute-many fast path: subtrees the program
-    // lowering covered run on the VM, everything else walks the tree
-    if let Some(prog) = cx.programs.lookup(e.node_id) {
-        return run_probe(cx, prog, env).map(Val::into_sequence);
-    }
     match &e.kind {
         CKind::Const(v) => Ok(vec![Item::Atomic(v.clone())]),
         CKind::Var { name, slot } => env
@@ -621,8 +499,7 @@ pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Sequence> {
         } => {
             let v = eval(cx, input, env)?;
             // a constant positional predicate (`$x[3]`) is a direct
-            // index — no per-item context binding or predicate eval;
-            // same helper the VM's PickConst op lowers to
+            // index — no per-item context binding or predicate eval
             if *positional {
                 if let CKind::Const(c) = &predicate.kind {
                     if let Ok(AtomicValue::Integer(n)) = c.cast_to(AtomicType::Integer) {
@@ -775,7 +652,7 @@ fn eval_sequence(cx: &ExecCtx, parts: &[CExpr], env: &Env) -> RtResult<Sequence>
     Ok(out)
 }
 
-pub(crate) fn descend(n: &NodeRef, out: &mut Vec<Item>) {
+fn descend(n: &NodeRef, out: &mut Vec<Item>) {
     for c in n.children() {
         if matches!(c.kind(), NodeKind::Element { .. }) {
             out.push(Item::Node(c.clone()));
@@ -934,8 +811,7 @@ fn eval_builtin(cx: &ExecCtx, op: Builtin, args: &[CExpr], env: &Env) -> RtResul
             }
         }
         // every other builtin is strict: evaluate the arguments, then
-        // hand them to the same kernel the VM's `call` op uses, so the
-        // walker and compiled programs agree by construction
+        // hand them to the shared kernel
         _ => {
             if args.len() <= 4 {
                 let mut buf = [Val::Empty, Val::Empty, Val::Empty, Val::Empty];
@@ -990,9 +866,64 @@ fn aggregate(op: Builtin, vals: &[AtomicValue]) -> RtResult<Sequence> {
     }
 }
 
+/// An evaluated builtin argument or result: a sequence that is empty,
+/// a single inline item, a slot's sequence shared by refcount, or owned.
+/// Operations that only inspect their operand work on the borrowed
+/// slice ([`Val::as_slice`]), so a variable argument is never copied.
+#[derive(Clone, Debug)]
+enum Val {
+    Empty,
+    One(Item),
+    Shared(Arc<Sequence>),
+    Owned(Sequence),
+}
+
+impl Val {
+    /// Wrap an owned sequence, collapsing the cheap cardinalities.
+    fn of(mut s: Sequence) -> Val {
+        match s.len() {
+            0 => Val::Empty,
+            1 => Val::One(s.pop().expect("len 1")),
+            _ => Val::Owned(s),
+        }
+    }
+
+    /// Borrow the underlying items.
+    #[inline]
+    fn as_slice(&self) -> &[Item] {
+        match self {
+            Val::Empty => &[],
+            Val::One(item) => std::slice::from_ref(item),
+            Val::Shared(s) => s.as_slice(),
+            Val::Owned(s) => s.as_slice(),
+        }
+    }
+
+    /// Convert to an owned sequence; shared values clone their items
+    /// only when another reference is still alive.
+    fn into_sequence(self) -> Sequence {
+        match self {
+            Val::Empty => Vec::new(),
+            Val::One(item) => vec![item],
+            Val::Shared(a) => Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()),
+            Val::Owned(s) => s,
+        }
+    }
+}
+
+impl From<SlotValue> for Val {
+    fn from(s: SlotValue) -> Val {
+        match s {
+            SlotValue::Empty => Val::Empty,
+            SlotValue::One(item) => Val::One(item),
+            SlotValue::Many(a) => Val::Shared(a),
+        }
+    }
+}
+
 /// Evaluate one builtin argument into a [`Val`], with the same cheap
-/// paths [`eval_operand`] gives the walker: constants and variable
-/// reads never materialise a fresh sequence.
+/// paths [`eval_operand`] gives the other operand positions: constants
+/// and variable reads never materialise a fresh sequence.
 fn eval_val(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Val> {
     match &e.kind {
         CKind::Const(v) => Ok(Val::One(Item::Atomic(v.clone()))),
@@ -1004,14 +935,10 @@ fn eval_val(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Val> {
     }
 }
 
-/// Apply a strict builtin to already-evaluated arguments.
-///
-/// This is the single kernel behind both the tree-walker
-/// ([`eval_builtin`]) and the expression VM's `call` op, so the two
-/// evaluation regimes cannot drift. Lazy builtins (`Async`, `FailOver`,
-/// `Timeout`) never reach here: the walker keeps dedicated arms for
-/// them and program lowering declines them.
-pub(crate) fn apply_builtin(op: Builtin, args: &[Val]) -> RtResult<Val> {
+/// Apply a strict builtin to already-evaluated arguments. Lazy builtins
+/// (`Async`, `FailOver`, `Timeout`) never reach here: [`eval_builtin`]
+/// keeps dedicated arms for them.
+fn apply_builtin(op: Builtin, args: &[Val]) -> RtResult<Val> {
     use Builtin as B;
     Ok(match op {
         B::Count => Val::One(Item::int(args[0].as_slice().len() as i64)),
@@ -1171,10 +1098,10 @@ pub(crate) fn apply_builtin(op: Builtin, args: &[Val]) -> RtResult<Val> {
 
 /// A singleton string argument without forcing an owned `String`:
 /// borrows the payload when the argument is already a string-ish atomic
-/// (the common shape on the VM hot path, where a `data` op precedes the
-/// call), keeps the `Arc` when a node's typed value is string-ish, and
-/// only otherwise falls back to the owned conversion. An empty argument
-/// reads as `""`, matching the `unwrap_or_default` the owned path used.
+/// (the common shape once a `data` node precedes the call), keeps the
+/// `Arc` when a node's typed value is string-ish, and only otherwise
+/// falls back to the owned conversion. An empty argument reads as `""`,
+/// matching the `unwrap_or_default` the owned path used.
 enum StrArg<'a> {
     Borrowed(&'a str),
     Shared(Arc<str>),
@@ -1207,8 +1134,7 @@ fn str_arg(v: &Val) -> RtResult<StrArg<'_>> {
     }
 }
 
-/// Singleton string extraction from an evaluated argument (the slice
-/// twin of the walker's old expression-taking helper).
+/// Singleton string extraction from an evaluated argument.
 fn single_string_arg(v: &Val) -> RtResult<Option<String>> {
     match v.as_slice() {
         [] => Ok(None),
@@ -1470,7 +1396,7 @@ fn parallel_region<'a>(
     let extra_workers = cx.workers.min(ranges.len()).saturating_sub(1);
     // one pipeline per morsel: bind the morsel's rows under the FLWOR's
     // base tuple, then apply the map clauses (each morsel owns its
-    // iterators and VM state; the row buffer is shared read-only)
+    // iterators; the row buffer is shared read-only)
     let pipeline = move |range: std::ops::Range<usize>| -> TupleIter<'a> {
         let rows = Arc::clone(&rows);
         let slots = Arc::clone(&bind_slots);
@@ -1670,7 +1596,7 @@ where
     cx.inc(|s| &s.sorted_groups);
     let results: Vec<RtResult<GroupedPart>> = run_morsels(cx, ranges, extra_workers, |range| {
         cx.check_budget()?;
-        group_partition(cx, None, &slots, keys, pipeline(range))
+        group_partition(cx, &slots, keys, pipeline(range))
     });
     let parts = match collect_parts(cx, results, |p: &GroupedPart| p.charged) {
         Ok(p) => p,
@@ -1700,7 +1626,7 @@ where
 {
     let results: Vec<RtResult<SortedPart>> = run_morsels(cx, ranges, extra_workers, |range| {
         cx.check_budget()?;
-        sort_partition(cx, None, specs, pipeline(range))
+        sort_partition(cx, specs, pipeline(range))
     });
     let parts = match collect_parts(cx, results, |p: &SortedPart| p.charged) {
         Ok(p) => p,
@@ -1871,56 +1797,25 @@ fn build_clause<'a>(
                 Ok(s) => s,
                 Err(e) => return one_err(e),
             };
-            // compiled let values run on a clause-owned VM: no probe
-            // lookup per tuple, stats flushed once on drop
-            match cx.programs.lookup(value.node_id) {
-                Some(prog) => {
-                    let prog = Arc::clone(prog);
-                    let mut vm = VmState::new(cx, tkey);
-                    Box::new(input.map(move |tuple| {
-                        let env = tuple?;
-                        let v = vm.run(&prog, &env)?;
-                        Ok(env.bind_val_owned(slot, v))
-                    }))
-                }
-                None => Box::new(input.map(move |tuple| {
-                    let env = tuple?;
-                    let v = eval(cx, value, &env)?;
-                    Ok(env.bind_seq_owned(slot, v))
-                })),
-            }
+            Box::new(input.map(move |tuple| {
+                let env = tuple?;
+                let v = eval(cx, value, &env)?;
+                Ok(env.bind_seq_owned(slot, v))
+            }))
         }
-        Clause::Where(cond) => {
-            match cx.programs.lookup(cond.node_id) {
-                Some(prog) => {
-                    let prog = Arc::clone(prog);
-                    let mut vm = VmState::new(cx, tkey);
-                    Box::new(input.filter_map(move |tuple| match tuple {
-                        Err(e) => Some(Err(e)),
-                        Ok(env) => match vm.run(&prog, &env).and_then(|v| {
-                            effective_boolean_value(v.as_slice()).map_err(RtError::from)
-                        }) {
-                            Ok(true) => Some(Ok(env)),
-                            Ok(false) => None,
-                            Err(e) => Some(Err(e)),
-                        },
-                    }))
-                }
-                None => {
-                    Box::new(input.filter_map(move |tuple| match tuple {
-                        Err(e) => Some(Err(e)),
-                        Ok(env) => match eval_operand(cx, cond, &env).and_then(|v| {
-                            effective_boolean_value(v.as_slice()).map_err(RtError::from)
-                        }) {
-                            Ok(true) => Some(Ok(env)),
-                            Ok(false) => None,
-                            Err(e) => Some(Err(e)),
-                        },
-                    }))
-                }
+        Clause::Where(cond) => Box::new(input.filter_map(move |tuple| {
+            match tuple {
+                Err(e) => Some(Err(e)),
+                Ok(env) => match eval_operand(cx, cond, &env)
+                    .and_then(|v| effective_boolean_value(v.as_slice()).map_err(RtError::from))
+                {
+                    Ok(true) => Some(Ok(env)),
+                    Ok(false) => None,
+                    Err(e) => Some(Err(e)),
+                },
             }
-        }
-        Clause::OrderBy(specs) => order_by(cx, tkey, specs, input),
+        })),
+        Clause::OrderBy(specs) => order_by(cx, specs, input),
         Clause::GroupBy {
             bindings,
             keys,
@@ -1935,7 +1830,6 @@ fn build_clause<'a>(
                 cx.inc(|s| &s.streaming_groups);
                 Box::new(StreamingGroups {
                     cx,
-                    vm: VmState::new(cx, tkey),
                     input,
                     keys,
                     slots,
@@ -1944,7 +1838,7 @@ fn build_clause<'a>(
                     done: false,
                 })
             } else {
-                sorted_group_by(cx, tkey, &slots, keys, input, flwor_base)
+                sorted_group_by(cx, &slots, keys, input, flwor_base)
             }
         }
         Clause::SqlFor {
@@ -2068,15 +1962,7 @@ fn cmp_spec_keys(
 
 /// Materialize and stably sort one partition of the input. On error the
 /// partition's own charges are released before returning.
-fn sort_partition(
-    cx: &ExecCtx,
-    tkey: Option<TraceKey>,
-    specs: &[OrderSpec],
-    input: TupleIter<'_>,
-) -> RtResult<SortedPart> {
-    // compiled sort keys run on one partition-owned VM across all rows
-    let progs: Vec<Option<Arc<Program>>> = specs.iter().map(|s| key_prog(cx, &s.expr)).collect();
-    let mut vm = VmState::new(cx, tkey);
+fn sort_partition(cx: &ExecCtx, specs: &[OrderSpec], input: TupleIter<'_>) -> RtResult<SortedPart> {
     let mut rows: Vec<(Vec<Option<AtomicValue>>, Env)> = Vec::new();
     let mut charged = 0u64;
     let fail = |cx: &ExecCtx, charged: u64, e: RtError| {
@@ -2094,8 +1980,8 @@ fn sort_partition(
         }
         charged += cx.tuple_mem;
         let mut key = Vec::with_capacity(specs.len());
-        for (s, prog) in specs.iter().zip(&progs) {
-            match key_first(cx, &mut vm, prog, &s.expr, &env) {
+        for s in specs {
+            match atomize_first(cx, &s.expr, &env) {
                 Ok(k) => key.push(k),
                 Err(e) => return fail(cx, charged, e),
             }
@@ -2133,13 +2019,8 @@ fn merge_sorted_parts(specs: &[OrderSpec], left: SortedPart, right: SortedPart) 
     }
 }
 
-fn order_by<'a>(
-    cx: &'a ExecCtx,
-    tkey: Option<TraceKey>,
-    specs: &'a [OrderSpec],
-    input: TupleIter<'a>,
-) -> TupleIter<'a> {
-    match sort_partition(cx, tkey, specs, input) {
+fn order_by<'a>(cx: &'a ExecCtx, specs: &'a [OrderSpec], input: TupleIter<'a>) -> TupleIter<'a> {
+    match sort_partition(cx, specs, input) {
         Ok(part) => Box::new(Charged {
             cx,
             bytes: part.charged,
@@ -2183,9 +2064,6 @@ struct GroupSlots {
     /// (source slot, destination slot) per carried binding.
     carry_from: Vec<u32>,
     carry_to: Vec<u32>,
-    /// Compiled programs behind the key expressions (parallel to
-    /// `aliases`); `None` falls back to the tree-walker per key.
-    key_progs: Vec<Option<Arc<Program>>>,
 }
 
 impl GroupSlots {
@@ -2214,7 +2092,6 @@ impl GroupSlots {
                 .iter()
                 .map(|(_, t)| slot(t))
                 .collect::<RtResult<_>>()?,
-            key_progs: keys.iter().map(|(k, _)| key_prog(cx, k)).collect(),
         })
     }
 }
@@ -2225,7 +2102,6 @@ impl GroupSlots {
 /// Memory is bounded by the largest single group.
 struct StreamingGroups<'a> {
     cx: &'a ExecCtx,
-    vm: VmState<'a>,
     input: TupleIter<'a>,
     keys: &'a [(CExpr, String)],
     slots: GroupSlots,
@@ -2278,8 +2154,8 @@ impl Iterator for StreamingGroups<'_> {
                 Some(Ok(env)) => {
                     // evaluate the grouping keys on this tuple
                     let mut key = Vec::with_capacity(self.keys.len());
-                    for ((kexpr, _), prog) in self.keys.iter().zip(&self.slots.key_progs) {
-                        match key_first(self.cx, &mut self.vm, prog, kexpr, &env) {
+                    for (kexpr, _) in self.keys {
+                        match atomize_first(self.cx, kexpr, &env) {
                             Ok(k) => key.push(k),
                             Err(e) => {
                                 self.done = true;
@@ -2510,14 +2386,13 @@ fn emit_grouped_part<'a>(
 
 fn sorted_group_by<'a>(
     cx: &'a ExecCtx,
-    tkey: Option<TraceKey>,
     slots: &GroupSlots,
     keys: &'a [(CExpr, String)],
     input: TupleIter<'a>,
     base: Env,
 ) -> TupleIter<'a> {
     cx.inc(|s| &s.sorted_groups);
-    let part = match group_partition(cx, tkey, slots, keys, input) {
+    let part = match group_partition(cx, slots, keys, input) {
         Ok(p) => p,
         Err(e) => return one_err(e),
     };
@@ -2529,12 +2404,10 @@ fn sorted_group_by<'a>(
 /// the partition's own charges are released before returning.
 fn group_partition(
     cx: &ExecCtx,
-    tkey: Option<TraceKey>,
     slots: &GroupSlots,
     keys: &[(CExpr, String)],
     input: TupleIter<'_>,
 ) -> RtResult<GroupedPart> {
-    let mut vm = VmState::new(cx, tkey);
     // Incremental grouping instead of buffer-sort-scan: each row's key
     // is compared against the previous row's key first (clustered
     // inputs — the common shape from an ordered scan — group in O(1)
@@ -2575,8 +2448,8 @@ fn group_partition(
         rows += 1;
         // stage this row's key after the kept group keys…
         let staged = flat_keys.len() / nk;
-        for ((kexpr, _), prog) in keys.iter().zip(&slots.key_progs) {
-            match key_first(cx, &mut vm, prog, kexpr, &env) {
+        for (kexpr, _) in keys {
+            match atomize_first(cx, kexpr, &env) {
                 Ok(k) => flat_keys.push(k),
                 Err(e) => return fail(cx, charged, e),
             }

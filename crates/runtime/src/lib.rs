@@ -15,15 +15,13 @@ pub mod eval;
 pub mod parallel;
 pub mod stats;
 pub mod trace;
-pub mod vm;
 
 pub use cache::FunctionCache;
-pub use env::{Env, EnvWriter, NamedEnv};
+pub use env::{Env, EnvWriter};
 pub use eval::{ExecCtx, RtError, RtResult, RuntimeInner};
 pub use parallel::{morsel_ranges, MorselQueue, WorkerPool};
 pub use stats::{ExecStats, StatsSnapshot};
 pub use trace::{NodeTrace, QueryTrace, TraceCollector, TraceKey, TraceLevel};
-pub use vm::ExprVM;
 
 pub use aldsp_workload::{QueryBudget, WorkloadError};
 
@@ -92,46 +90,19 @@ impl Runtime {
     }
 
     /// Execute a compiled plan with external-variable bindings
-    /// (unbound externals default to the empty sequence).
-    pub fn execute(
-        &self,
-        query: &CompiledQuery,
-        bindings: &[(&str, Sequence)],
-    ) -> RtResult<Sequence> {
-        Ok(self.execute_traced(query, bindings, TraceLevel::Off)?.items)
-    }
-
-    /// Execute a compiled plan, collecting this execution's exact stat
-    /// deltas and — at [`TraceLevel::Operators`] — a per-operator
-    /// [`QueryTrace`] keyed by the plan's node ids.
-    pub fn execute_traced(
-        &self,
-        query: &CompiledQuery,
-        bindings: &[(&str, Sequence)],
-        level: TraceLevel,
-    ) -> RtResult<Execution> {
-        self.execute_traced_budgeted(query, bindings, level, None)
-    }
-
-    /// [`Runtime::execute_traced`] under a workload budget: the deadline
-    /// is checked at tuple boundaries and before source roundtrips, and
-    /// blocking operators charge their buffered state against the
-    /// budget's memory cap. The budget's permit-wait and peak-memory
-    /// counters are folded into the returned stats.
-    pub fn execute_traced_budgeted(
-        &self,
-        query: &CompiledQuery,
-        bindings: &[(&str, Sequence)],
-        level: TraceLevel,
-        budget: Option<Arc<QueryBudget>>,
-    ) -> RtResult<Execution> {
-        self.execute_tuned(query, bindings, level, budget, ExecTuning::default())
-    }
-
-    /// [`Runtime::execute_traced_budgeted`] with explicit [`ExecTuning`]:
-    /// `workers > 1` lets plan regions the compiler marked partitionable
-    /// run morsel-parallel across the shared worker pool. Results are
-    /// byte-identical to sequential execution regardless of tuning.
+    /// (unbound externals default to the empty sequence), collecting
+    /// this execution's exact stat deltas and — at
+    /// [`TraceLevel::Operators`] — a per-operator [`QueryTrace`] keyed
+    /// by the plan's node ids.
+    ///
+    /// Under a workload budget the deadline is checked at tuple
+    /// boundaries and before source roundtrips, and blocking operators
+    /// charge their buffered state against the budget's memory cap; the
+    /// budget's permit-wait and peak-memory counters are folded into the
+    /// returned stats. `tuning.workers > 1` lets plan regions the
+    /// compiler marked partitionable run morsel-parallel across the
+    /// shared worker pool. Results are byte-identical to sequential
+    /// execution regardless of tuning.
     pub fn execute_tuned(
         &self,
         query: &CompiledQuery,
@@ -140,40 +111,10 @@ impl Runtime {
         budget: Option<Arc<QueryBudget>>,
         tuning: ExecTuning,
     ) -> RtResult<Execution> {
-        let env = self.bind_env(query, bindings);
-        let (cx, collector) = self.exec_ctx(level);
-        let cx = cx
-            .with_frame(Arc::clone(&query.frame))
-            .with_programs(Arc::clone(&query.programs))
-            .with_joins(Arc::clone(&query.joins))
-            .with_parallel(
-                Arc::clone(&query.parallel),
-                tuning.workers,
-                tuning.morsel_size,
-            )
-            .with_budget(budget);
-        let t0 = std::time::Instant::now();
-        let result = eval::eval(&cx, &query.plan, &env);
-        merge_budget_counters(&cx);
-        let items = result?;
-        if let Some(c) = &collector {
-            // the plan root's row count = the result item count, so a
-            // trace always sums consistently with what was returned
-            c.record(
-                TraceKey::node(query.plan.node_id),
-                NodeTrace {
-                    rows_out: items.len() as u64,
-                    wall_ns: t0.elapsed().as_nanos() as u64,
-                    ..Default::default()
-                },
-            );
-        }
-        let delivered = items.len() as u64;
-        Ok(Execution {
-            items,
-            delivered,
-            per_query_stats: cx.local.snapshot(),
-            trace: collector.map(|c| c.finish()),
+        self.run_plan(query, bindings, level, budget, tuning, |cx, env| {
+            let items = eval::eval(cx, &query.plan, env)?;
+            let delivered = items.len() as u64;
+            Ok((items, delivered))
         })
     }
 
@@ -181,58 +122,12 @@ impl Runtime {
     /// `on_item` as the tuple pipeline produces them, without
     /// materializing the full sequence first (§2.2's server-side
     /// streaming consumption). Returning `false` from the sink stops
-    /// execution early. Returns the number of items delivered.
-    pub fn execute_streaming(
-        &self,
-        query: &CompiledQuery,
-        bindings: &[(&str, Sequence)],
-        on_item: &mut dyn FnMut(aldsp_xdm::item::Item) -> bool,
-    ) -> RtResult<u64> {
-        Ok(self
-            .execute_streaming_traced(query, bindings, TraceLevel::Off, on_item)?
-            .delivered)
-    }
-
-    /// [`Runtime::execute_streaming`] with per-execution stats and an
-    /// optional operator trace (items go to the sink; `Execution::items`
-    /// stays empty).
-    pub fn execute_streaming_traced(
-        &self,
-        query: &CompiledQuery,
-        bindings: &[(&str, Sequence)],
-        level: TraceLevel,
-        on_item: &mut dyn FnMut(aldsp_xdm::item::Item) -> bool,
-    ) -> RtResult<Execution> {
-        self.execute_streaming_traced_budgeted(query, bindings, level, None, on_item)
-    }
-
-    /// [`Runtime::execute_streaming_traced`] under a workload budget —
-    /// the streaming twin of [`Runtime::execute_traced_budgeted`]. A
-    /// deadline hit mid-stream ends the result stream with the typed
-    /// error after whatever prefix was already delivered.
-    pub fn execute_streaming_traced_budgeted(
-        &self,
-        query: &CompiledQuery,
-        bindings: &[(&str, Sequence)],
-        level: TraceLevel,
-        budget: Option<Arc<QueryBudget>>,
-        on_item: &mut dyn FnMut(aldsp_xdm::item::Item) -> bool,
-    ) -> RtResult<Execution> {
-        self.execute_streaming_tuned(
-            query,
-            bindings,
-            level,
-            budget,
-            ExecTuning::default(),
-            on_item,
-        )
-    }
-
-    /// [`Runtime::execute_streaming_traced_budgeted`] with explicit
-    /// [`ExecTuning`] — the streaming twin of [`Runtime::execute_tuned`].
-    /// The parallel region (when one engages) materializes its own
-    /// output, but clauses past it and the return expression still
-    /// stream to the sink tuple by tuple.
+    /// execution early; `Execution::items` stays empty. A deadline hit
+    /// mid-stream ends the result stream with the typed error after
+    /// whatever prefix was already delivered. The parallel region (when
+    /// one engages) materializes its own output, but clauses past it
+    /// and the return expression still stream to the sink tuple by
+    /// tuple.
     pub fn execute_streaming_tuned(
         &self,
         query: &CompiledQuery,
@@ -242,27 +137,13 @@ impl Runtime {
         tuning: ExecTuning,
         on_item: &mut dyn FnMut(aldsp_xdm::item::Item) -> bool,
     ) -> RtResult<Execution> {
-        let env = self.bind_env(query, bindings);
-        let (cx, collector) = self.exec_ctx(level);
-        let cx = cx
-            .with_frame(Arc::clone(&query.frame))
-            .with_programs(Arc::clone(&query.programs))
-            .with_joins(Arc::clone(&query.joins))
-            .with_parallel(
-                Arc::clone(&query.parallel),
-                tuning.workers,
-                tuning.morsel_size,
-            )
-            .with_budget(budget);
-        let t0 = std::time::Instant::now();
-        let mut delivered = 0u64;
-        let result = (|| -> RtResult<()> {
+        self.run_plan(query, bindings, level, budget, tuning, |cx, env| {
+            let mut delivered = 0u64;
             match &query.plan.kind {
                 aldsp_compiler::CKind::Flwor { clauses, ret } => {
-                    'outer: for tuple in eval::flwor_tuples(&cx, query.plan.node_id, clauses, &env)
-                    {
+                    'outer: for tuple in eval::flwor_tuples(cx, query.plan.node_id, clauses, env) {
                         let tenv = tuple?;
-                        for item in eval::eval(&cx, ret, &tenv)? {
+                        for item in eval::eval(cx, ret, &tenv)? {
                             delivered += 1;
                             if !on_item(item) {
                                 break 'outer;
@@ -271,7 +152,7 @@ impl Runtime {
                     }
                 }
                 _ => {
-                    for item in eval::eval(&cx, &query.plan, &env)? {
+                    for item in eval::eval(cx, &query.plan, env)? {
                         delivered += 1;
                         if !on_item(item) {
                             break;
@@ -279,11 +160,42 @@ impl Runtime {
                     }
                 }
             }
-            Ok(())
-        })();
+            Ok((Vec::new(), delivered))
+        })
+    }
+
+    /// The execution shell both delivery modes share: bind externals,
+    /// build the per-execution context from the plan and the knobs, run
+    /// `body` (which returns the materialized items, if any, and the
+    /// delivered count), fold the budget's counters in, and record the
+    /// plan root's trace row.
+    fn run_plan(
+        &self,
+        query: &CompiledQuery,
+        bindings: &[(&str, Sequence)],
+        level: TraceLevel,
+        budget: Option<Arc<QueryBudget>>,
+        tuning: ExecTuning,
+        body: impl FnOnce(&ExecCtx, &Env) -> RtResult<(Sequence, u64)>,
+    ) -> RtResult<Execution> {
+        let env = self.bind_env(query, bindings);
+        let (cx, collector) = self.exec_ctx(level);
+        let cx = cx
+            .with_frame(Arc::clone(&query.frame))
+            .with_joins(Arc::clone(&query.joins))
+            .with_parallel(
+                Arc::clone(&query.parallel),
+                tuning.workers,
+                tuning.morsel_size,
+            )
+            .with_budget(budget);
+        let t0 = std::time::Instant::now();
+        let result = body(&cx, &env);
         merge_budget_counters(&cx);
-        result?;
+        let (items, delivered) = result?;
         if let Some(c) = &collector {
+            // the plan root's row count = the delivered item count, so a
+            // trace always sums consistently with what was returned
             c.record(
                 TraceKey::node(query.plan.node_id),
                 NodeTrace {
@@ -294,7 +206,7 @@ impl Runtime {
             );
         }
         Ok(Execution {
-            items: Vec::new(),
+            items,
             delivered,
             per_query_stats: cx.local.snapshot(),
             trace: collector.map(|c| c.finish()),
@@ -337,11 +249,6 @@ impl Runtime {
     /// Snapshot execution statistics.
     pub fn stats(&self) -> StatsSnapshot {
         self.inner.stats.snapshot()
-    }
-
-    /// Reset execution statistics.
-    pub fn reset_stats(&self) {
-        self.inner.stats.reset()
     }
 
     /// The underlying shared state (for embedding).
@@ -595,9 +502,14 @@ mod tests {
             .compiler
             .compile_query(&format!("{PROLOG}\n{query}"))
             .unwrap_or_else(|d| panic!("compile failed: {d:?}"));
-        w.runtime
-            .execute(&q, &[])
+        exec(&w.runtime, &q, &[])
             .unwrap_or_else(|e| panic!("execute failed: {e}\nplan: {:#?}", q.plan))
+    }
+
+    /// Untraced, unbudgeted, sequential execution.
+    fn exec(rt: &Runtime, q: &CompiledQuery, bindings: &[(&str, Sequence)]) -> RtResult<Sequence> {
+        rt.execute_tuned(q, bindings, TraceLevel::Off, None, ExecTuning::default())
+            .map(|e| e.items)
     }
 
     fn as_xml(seq: &aldsp_xdm::item::Sequence) -> String {
@@ -755,10 +667,7 @@ mod tests {
             ))
             .unwrap();
         let start = AtomicValue::DateTime(aldsp_xdm::value::DateTime(1500));
-        let out = w
-            .runtime
-            .execute(&q, &[("start", vec![Item::Atomic(start)])])
-            .unwrap();
+        let out = exec(&w.runtime, &q, &[("start", vec![Item::Atomic(start)])]).unwrap();
         assert_eq!(as_xml(&out), "<CID>C2</CID>");
         let sql = &w.db1.stats().statements[0];
         assert!(sql.contains("\"SINCE\" > ?"), "{sql}");
@@ -917,10 +826,7 @@ mod tests {
             .compiler
             .compile_call(&QName::new("urn:t", "byId"))
             .unwrap();
-        let out = w
-            .runtime
-            .execute(&q, &[("arg0", vec![Item::str("C3")])])
-            .unwrap();
+        let out = exec(&w.runtime, &q, &[("arg0", vec![Item::str("C3")])]).unwrap();
         let s = as_xml(&out);
         assert!(s.contains("<CID>C3</CID>"), "{s}");
         assert!(s.contains("<LAST_NAME>Jones</LAST_NAME>"), "{s}");
@@ -980,7 +886,7 @@ mod tests {
                 "expected a parallel mark for: {query}\nplan: {:#?}",
                 q.plan
             );
-            let expect = as_xml(&w.runtime.execute(&q, &[]).unwrap());
+            let expect = as_xml(&exec(&w.runtime, &q, &[]).unwrap());
             for workers in [2usize, 4] {
                 let tuning = ExecTuning {
                     workers,
@@ -1082,7 +988,7 @@ mod tests {
             .unwrap_or_else(|d| panic!("compile failed: {d:?}"));
         const THREADS: usize = 8;
         const ITERS: usize = 25;
-        let expected = w.runtime.execute(&q, &[]).unwrap();
+        let expected = exec(&w.runtime, &q, &[]).unwrap();
         std::thread::scope(|s| {
             for _ in 0..THREADS {
                 let rt = w.runtime.clone();
@@ -1090,7 +996,7 @@ mod tests {
                 let expected = &expected;
                 s.spawn(move || {
                     for _ in 0..ITERS {
-                        let out = rt.execute(q, &[]).unwrap();
+                        let out = exec(&rt, q, &[]).unwrap();
                         assert_eq!(&out, expected, "cached result diverged");
                     }
                 });
@@ -1148,7 +1054,7 @@ mod tests {
             .compiler
             .compile_query(&format!("{PROLOG} for $c in c:CUSTOMER() return $c/CID"))
             .unwrap();
-        let err = w.runtime.execute(&q, &[]).unwrap_err();
+        let err = exec(&w.runtime, &q, &[]).unwrap_err();
         assert!(matches!(err, RtError::Adaptor(_)), "{err}");
     }
 }

@@ -57,13 +57,6 @@ pub struct ExecStats {
     pub permit_wait_ns: AtomicU64,
     /// Peak bytes of budgeted operator memory held by any single query.
     pub peak_memory_bytes: AtomicU64,
-    /// Bytecode ops executed by the expression VM (flushed from
-    /// per-operator local counters, not bumped per op).
-    pub vm_ops_executed: AtomicU64,
-    /// Subtree roots the program lowering declined, so the tree-walker
-    /// evaluated them (a static plan property, recorded once per
-    /// execution).
-    pub vm_fallback_subtrees: AtomicU64,
     /// Morsels claimed and evaluated by the parallel worker pool
     /// (single-threaded execution leaves this at zero).
     pub morsels_executed: AtomicU64,
@@ -124,8 +117,8 @@ impl ExecStats {
             admission_queue_peak: self.admission_queue_peak.load(Ordering::Relaxed),
             permit_wait_ns: self.permit_wait_ns.load(Ordering::Relaxed),
             peak_memory_bytes: self.peak_memory_bytes.load(Ordering::Relaxed),
-            vm_ops_executed: self.vm_ops_executed.load(Ordering::Relaxed),
-            vm_fallback_subtrees: self.vm_fallback_subtrees.load(Ordering::Relaxed),
+            vm_ops_executed: 0,
+            vm_fallback_subtrees: 0,
             morsels_executed: self.morsels_executed.load(Ordering::Relaxed),
             worker_busy_ns: self.worker_busy_ns.load(Ordering::Relaxed),
             matview_hits: self.matview_hits.load(Ordering::Relaxed),
@@ -135,45 +128,6 @@ impl ExecStats {
             hash_joins: self.hash_joins.load(Ordering::Relaxed),
             join_build_rows: self.join_build_rows.load(Ordering::Relaxed),
             join_reorders: self.join_reorders.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        for c in [
-            &self.source_calls,
-            &self.sql_statements,
-            &self.ppk_blocks,
-            &self.ppk_outer_tuples,
-            &self.ppk_prefetched_blocks,
-            &self.ppk_prefetch_wait_ns,
-            &self.parallel_scans,
-            &self.streaming_groups,
-            &self.sorted_groups,
-            &self.peak_grouped_tuples,
-            &self.async_spawns,
-            &self.timeouts_fired,
-            &self.failovers_taken,
-            &self.cache_hits,
-            &self.cache_misses,
-            &self.admission_wait_ns,
-            &self.queries_shed,
-            &self.admission_queue_peak,
-            &self.permit_wait_ns,
-            &self.peak_memory_bytes,
-            &self.vm_ops_executed,
-            &self.vm_fallback_subtrees,
-            &self.morsels_executed,
-            &self.worker_busy_ns,
-            &self.matview_hits,
-            &self.matview_invalidations,
-            &self.matview_patches,
-            &self.matview_recomputes,
-            &self.hash_joins,
-            &self.join_build_rows,
-            &self.join_reorders,
-        ] {
-            c.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -208,7 +162,12 @@ pub struct StatsSnapshot {
     pub admission_queue_peak: u64,
     pub permit_wait_ns: u64,
     pub peak_memory_bytes: u64,
+    /// Always 0. Counted bytecode ops of an expression VM that the
+    /// runtime no longer has (the plan interpreter is the only scalar
+    /// evaluator); kept so readers of the field still compile.
     pub vm_ops_executed: u64,
+    /// Always 0. Counted subtrees that VM's lowering declined; kept so
+    /// readers of the field still compile.
     pub vm_fallback_subtrees: u64,
     pub morsels_executed: u64,
     pub worker_busy_ns: u64,

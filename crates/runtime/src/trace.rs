@@ -74,10 +74,6 @@ pub struct NodeTrace {
     /// Source roundtrips (SQL statements / adaptor calls) this operator
     /// issued.
     pub source_roundtrips: u64,
-    /// Of `wall_ns`, the part spent inside the expression VM running
-    /// compiled programs; the remainder is interpreted (tree-walker)
-    /// plus operator-machinery time. Only measured when tracing is on.
-    pub vm_ns: u64,
     /// Rows this operator buffered as a middleware join's build side
     /// (zero for everything but hash/merge join clauses).
     pub join_build_rows: u64,
@@ -89,7 +85,6 @@ impl NodeTrace {
         self.rows_out += other.rows_out;
         self.wall_ns += other.wall_ns;
         self.source_roundtrips += other.source_roundtrips;
-        self.vm_ns += other.vm_ns;
         self.join_build_rows += other.join_build_rows;
     }
 }
@@ -114,12 +109,11 @@ impl QueryTrace {
         for (key, t) in &self.nodes {
             let _ = writeln!(
                 out,
-                "{key} rows_in={} rows_out={} wall_us={} roundtrips={} vm_us={}",
+                "{key} rows_in={} rows_out={} wall_us={} roundtrips={}",
                 t.rows_in,
                 t.rows_out,
                 t.wall_ns / 1_000,
-                t.source_roundtrips,
-                t.vm_ns / 1_000
+                t.source_roundtrips
             );
         }
         out

@@ -179,7 +179,17 @@ pub(crate) mod tests {
     pub(crate) fn read_profile(w: &World) -> (DataObject, Lineage) {
         let q = w.compiler.compile_query(PROFILE_QUERY).unwrap();
         let lineage = analyze(&w.meta, &q).unwrap();
-        let out = w.runtime.execute(&q, &[]).unwrap();
+        let out = w
+            .runtime
+            .execute_tuned(
+                &q,
+                &[],
+                aldsp_runtime::TraceLevel::Off,
+                None,
+                aldsp_runtime::ExecTuning::default(),
+            )
+            .unwrap()
+            .items;
         let Item::Node(node) = &out[0] else {
             panic!("expected a node")
         };

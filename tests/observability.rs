@@ -341,3 +341,34 @@ fn trace_is_opt_in_and_explain_only_runs_nothing() {
         "explain_only must not execute"
     );
 }
+
+/// `vm_ops_executed` and `vm_fallback_subtrees` outlived the bytecode
+/// expression VM they counted: both always read 0, per query and
+/// server-wide, even for a middleware predicate, computed sort key and
+/// quantifier that the VM would have run or declined.
+#[test]
+fn retired_vm_counters_read_zero() {
+    let w = common::world_tuned(7, |b| {
+        b.execution(ExecutionOptions::new().pushdown(aldsp::PushdownLevel::Off))
+    });
+    let q = format!(
+        "{PROLOG}
+         for $c in c:CUSTOMER()
+         where fn:starts-with($c/CID, \"C0\")
+               and (some $o in c:ORDER() satisfies $o/CID eq $c/CID)
+         order by fn:substring($c/LAST_NAME, 2) descending
+         return $c/CID"
+    );
+    let resp = w
+        .server
+        .execute(QueryRequest::new(&q).principal(demo()))
+        .expect("executes");
+    assert_eq!(resp.items().len(), 4, "customers 1, 2, 4, 5 have orders");
+    let local = resp.per_query_stats();
+    assert_eq!((local.vm_ops_executed, local.vm_fallback_subtrees), (0, 0));
+    let global = w.server.stats();
+    assert_eq!(
+        (global.vm_ops_executed, global.vm_fallback_subtrees),
+        (0, 0)
+    );
+}

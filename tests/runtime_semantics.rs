@@ -6,8 +6,8 @@ mod common;
 
 use aldsp::security::Principal;
 use aldsp::xdm::xml::serialize_sequence;
-use aldsp::QueryRequest;
-use common::{world, PROLOG};
+use aldsp::{ExecutionOptions, PushdownLevel, QueryRequest};
+use common::{world, world_tuned, PROLOG};
 
 fn run(w: &common::World, q: &str) -> String {
     let src = format!("{PROLOG}\n{q}");
@@ -218,4 +218,131 @@ fn deep_view_stacks_execute_correctly() {
         "{:#?}",
         w.db1.stats().statements
     );
+}
+
+/// A middleware-heavy scalar corpus: pushdown stays off, so predicates,
+/// computed keys and filters are evaluated by the plan interpreter, not
+/// by the source.
+const SCALAR_CORPUS: [&str; 8] = [
+    // comparison + arithmetic + boolean connectives in a where clause
+    r#"for $o in c:ORDER()
+       where $o/AMOUNT ge 20.00 and ($o/OID mod 2 eq 1 or $o/AMOUNT lt 100.00)
+       return <R>{ $o/OID }</R>"#,
+    // let over string builtins, order by a substring key (descending)
+    r#"for $c in c:CUSTOMER()
+       let $k := fn:concat($c/LAST_NAME, "-", $c/CID)
+       order by fn:substring($k, 2, 5) descending, $c/CID
+       return <K>{ $k }</K>"#,
+    // group by a computed key through the sort-based group operator
+    r#"for $o in c:ORDER()
+       let $oid := $o/OID
+       group $oid as $ids by fn:substring($o/CID, 1, 4) as $g
+       return <G k="{$g}">{ fn:count($ids) }</G>"#,
+    // casts, castable and instance-of in value space
+    r#"for $x in (1, 2, 3)
+       return (xs:string($x * 10), $x castable as xs:decimal,
+               ($x + 1) instance of xs:integer)"#,
+    // constant positional filters, in and out of range
+    r#"let $s := (10, 20, 30)
+       return ($s[2], $s[1], $s[4], ("a","b")[2])"#,
+    // a quantified predicate
+    r#"for $c in c:CUSTOMER()
+       where some $o in c:ORDER() satisfies $o/CID eq $c/CID
+       return $c/CID"#,
+    // sequence + range construction feeding an aggregate
+    r#"for $x in (1 to 4)
+       return fn:sum((1 to $x, 100))"#,
+    // string predicates over child steps
+    r#"for $c in c:CUSTOMER()
+       where fn:contains($c/LAST_NAME, "e") and fn:starts-with($c/CID, "C0")
+       return $c/LAST_NAME"#,
+];
+
+/// [`SCALAR_CORPUS`]'s expected serializations per world size, recorded
+/// while a bytecode expression VM and the plan interpreter still had to
+/// agree on them byte for byte. Sizes cover a single customer, empty
+/// groups, null columns, several group keys, and (from 20 customers on)
+/// orders that pass the first query's `AMOUNT ge 20.00`.
+const SCALAR_GOLDENS: &[(usize, [&str; 8])] = &[
+    (
+        1,
+        [
+            "",
+            "<K>Jones-C0000</K>",
+            "",
+            "10 true true 20 true true 30 true true",
+            "20 10 b",
+            "",
+            "101 103 106 110",
+            "<LAST_NAME>Jones</LAST_NAME>",
+        ],
+    ),
+    (
+        7,
+        [
+            "",
+            "<K>Jones-C0000</K><K>Jones-C0003</K><K>Jones-C0006</K><K>Smith-C0001</K><K>Smith-C0004</K><K>Chen-C0002</K><K>Chen-C0005</K>",
+            r#"<G k="C000">6</G>"#,
+            "10 true true 20 true true 30 true true",
+            "20 10 b",
+            "<CID>C0001</CID><CID>C0002</CID><CID>C0004</CID><CID>C0005</CID>",
+            "101 103 106 110",
+            "<LAST_NAME>Jones</LAST_NAME><LAST_NAME>Chen</LAST_NAME><LAST_NAME>Jones</LAST_NAME><LAST_NAME>Chen</LAST_NAME><LAST_NAME>Jones</LAST_NAME>",
+        ],
+    ),
+    (
+        13,
+        [
+            "",
+            "<K>Jones-C0000</K><K>Jones-C0003</K><K>Jones-C0006</K><K>Jones-C0009</K><K>Jones-C0012</K><K>Smith-C0001</K><K>Smith-C0004</K><K>Smith-C0007</K><K>Smith-C0010</K><K>Chen-C0002</K><K>Chen-C0005</K><K>Chen-C0008</K><K>Chen-C0011</K>",
+            r#"<G k="C000">9</G><G k="C001">3</G>"#,
+            "10 true true 20 true true 30 true true",
+            "20 10 b",
+            "<CID>C0001</CID><CID>C0002</CID><CID>C0004</CID><CID>C0005</CID><CID>C0007</CID><CID>C0008</CID><CID>C0010</CID><CID>C0011</CID>",
+            "101 103 106 110",
+            "<LAST_NAME>Jones</LAST_NAME><LAST_NAME>Chen</LAST_NAME><LAST_NAME>Jones</LAST_NAME><LAST_NAME>Chen</LAST_NAME><LAST_NAME>Jones</LAST_NAME><LAST_NAME>Chen</LAST_NAME><LAST_NAME>Jones</LAST_NAME><LAST_NAME>Chen</LAST_NAME><LAST_NAME>Jones</LAST_NAME>",
+        ],
+    ),
+    (
+        24,
+        [
+            "<R><OID>19</OID></R><R><OID>20</OID></R><R><OID>21</OID></R><R><OID>22</OID></R><R><OID>23</OID></R><R><OID>24</OID></R>",
+            "<K>Jones-C0000</K><K>Jones-C0003</K><K>Jones-C0006</K><K>Jones-C0009</K><K>Jones-C0012</K><K>Jones-C0015</K><K>Jones-C0018</K><K>Jones-C0021</K><K>Smith-C0001</K><K>Smith-C0004</K><K>Smith-C0007</K><K>Smith-C0010</K><K>Smith-C0013</K><K>Smith-C0016</K><K>Smith-C0019</K><K>Smith-C0022</K><K>Chen-C0002</K><K>Chen-C0005</K><K>Chen-C0008</K><K>Chen-C0011</K><K>Chen-C0014</K><K>Chen-C0017</K><K>Chen-C0020</K><K>Chen-C0023</K>",
+            r#"<G k="C000">9</G><G k="C001">10</G><G k="C002">5</G>"#,
+            "10 true true 20 true true 30 true true",
+            "20 10 b",
+            "<CID>C0001</CID><CID>C0002</CID><CID>C0004</CID><CID>C0005</CID><CID>C0007</CID><CID>C0008</CID><CID>C0010</CID><CID>C0011</CID><CID>C0013</CID><CID>C0014</CID><CID>C0016</CID><CID>C0017</CID><CID>C0019</CID><CID>C0020</CID><CID>C0022</CID><CID>C0023</CID>",
+            "101 103 106 110",
+            "<LAST_NAME>Jones</LAST_NAME><LAST_NAME>Chen</LAST_NAME><LAST_NAME>Jones</LAST_NAME><LAST_NAME>Chen</LAST_NAME><LAST_NAME>Jones</LAST_NAME><LAST_NAME>Chen</LAST_NAME><LAST_NAME>Jones</LAST_NAME><LAST_NAME>Chen</LAST_NAME><LAST_NAME>Jones</LAST_NAME><LAST_NAME>Chen</LAST_NAME><LAST_NAME>Jones</LAST_NAME><LAST_NAME>Chen</LAST_NAME><LAST_NAME>Jones</LAST_NAME><LAST_NAME>Chen</LAST_NAME><LAST_NAME>Jones</LAST_NAME><LAST_NAME>Chen</LAST_NAME>",
+        ],
+    ),
+];
+
+#[test]
+fn scalar_corpus_goldens() {
+    for (n, wants) in SCALAR_GOLDENS {
+        let w = world_tuned(*n, |b| {
+            b.execution(ExecutionOptions::new().pushdown(PushdownLevel::Off))
+        });
+        for (q, want) in SCALAR_CORPUS.iter().zip(wants) {
+            assert_eq!(run(&w, q), *want, "n={n}: {q}");
+        }
+    }
+}
+
+/// The constant positional filter (`$s[2]`) is a direct index into the
+/// sequence: item `n` (1-based), or nothing when `n` is out of range.
+#[test]
+fn const_positional_filter_picks_item() {
+    let w = world(1);
+    for (q, want) in [
+        ("let $s := (10, 20, 30) return $s[2]", "20"),
+        ("let $s := (10, 20, 30) return $s[1]", "10"),
+        ("let $s := (10, 20, 30) return $s[3]", "30"),
+        ("let $s := (10, 20, 30) return $s[4]", ""),
+        ("let $s := (10, 20, 30) return $s[0]", ""),
+        ("(\"a\", \"b\")[2]", "b"),
+    ] {
+        assert_eq!(run(&w, q), want, "{q}");
+    }
 }
